@@ -53,7 +53,8 @@ fn main() {
             .nth(2)
             .expect("workspace root")
             .join("BENCH_interp.json");
-        let lines = respec_bench::jsonout::interp_throughput_lines(&rows);
+        let env = respec_bench::RunEnv::capture(repeats);
+        let lines = respec_bench::jsonout::interp_throughput_lines(&rows, &env);
         std::fs::write(&path, &lines).expect("write BENCH_interp.json");
         println!("\nwrote {} ({} rows)", path.display(), rows.len());
     }

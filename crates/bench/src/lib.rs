@@ -497,6 +497,57 @@ pub fn interp_throughput_data(workload: Workload, repeats: usize) -> Vec<InterpT
     rows
 }
 
+/// Where and how a benchmark ran, recorded on every row it writes.
+#[derive(Clone, Debug)]
+pub struct RunEnv {
+    /// Hardware threads the host offers.
+    pub host_cores: u64,
+    /// Timed repetitions behind each measurement.
+    pub repeats: u64,
+    /// The checkout's commit (see [`git_revision`]).
+    pub git_revision: String,
+}
+
+impl RunEnv {
+    /// Captures the environment of a run timing `repeats` repetitions.
+    pub fn capture(repeats: usize) -> RunEnv {
+        RunEnv {
+            host_cores: std::thread::available_parallelism().map_or(1, |n| n.get() as u64),
+            repeats: repeats as u64,
+            git_revision: git_revision(),
+        }
+    }
+}
+
+/// The workspace's git commit, suffixed `-dirty` when tracked files have
+/// uncommitted changes; `unknown` outside a git checkout.
+pub fn git_revision() -> String {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root");
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .arg("-C")
+            .arg(root)
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(rev)
+            if git(&["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|s| !s.is_empty()) =>
+        {
+            format!("{rev}-dirty")
+        }
+        Some(rev) => rev,
+        None => "unknown".to_string(),
+    }
+}
+
 /// Geometric mean (1.0 for an empty slice).
 pub fn geomean(values: &[f64]) -> f64 {
     if values.is_empty() {
@@ -1604,7 +1655,7 @@ pub mod jsonout {
     use respec::trace::json::JsonObject;
 
     use super::{
-        CpuTuneRow, FatbinRow, Fig13Row, Fig16Row, InterpThroughputRow, ProfileRow,
+        CpuTuneRow, FatbinRow, Fig13Row, Fig16Row, InterpThroughputRow, ProfileRow, RunEnv,
         TuneThroughputRow,
     };
 
@@ -1840,7 +1891,7 @@ pub mod jsonout {
     /// Interpreter-throughput rows (`BENCH_interp.json` baseline):
     /// warp-level issues per host second, scalar vs warp-vectorized, so
     /// interpreter changes have a perf trajectory to compare against.
-    pub fn interp_throughput_lines(rows: &[InterpThroughputRow]) -> String {
+    pub fn interp_throughput_lines(rows: &[InterpThroughputRow], env: &RunEnv) -> String {
         let mut out = String::new();
         for r in rows {
             out.push_str(
@@ -1853,6 +1904,9 @@ pub mod jsonout {
                     .f64("scalar_ops_per_sec", r.scalar_ops_per_sec())
                     .f64("warp_ops_per_sec", r.warp_ops_per_sec())
                     .f64("speedup", r.speedup())
+                    .u64("host_cores", env.host_cores)
+                    .u64("repeats", env.repeats)
+                    .str("git_revision", &env.git_revision)
                     .finish(),
             );
             out.push('\n');
@@ -2021,10 +2075,9 @@ mod tests {
             assert!(r.scalar_seconds > 0.0 && r.warp_seconds > 0.0);
             assert!(r.scalar_ops_per_sec() > 0.0 && r.warp_ops_per_sec() > 0.0);
         }
-        assert_json_lines(
-            &jsonout::interp_throughput_lines(&rows),
-            "interp_throughput",
-        );
+        let lines = jsonout::interp_throughput_lines(&rows, &RunEnv::capture(1));
+        assert_json_lines(&lines, "interp_throughput");
+        assert!(lines.contains("\"repeats\":1"), "{lines}");
     }
 
     #[test]

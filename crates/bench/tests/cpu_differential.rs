@@ -9,9 +9,9 @@
 //! the simulator, and the lowered IR must pass the static race/divergence
 //! gate (the fission is only legal because the kernels are race-free).
 
-use respec::opt::{lower_module_to_cpu, CpuLoweringParams};
+use respec::opt::{coarsen_function, lower_module_to_cpu, CpuLoweringParams};
 use respec::sim::TargetModel;
-use respec::{targets, GpuSim};
+use respec::{targets, CoarsenConfig, ExecMode, GpuSim};
 use respec_bench::{compiled_module, Pipeline};
 use respec_rodinia::{all_apps_sized, Workload};
 
@@ -42,6 +42,55 @@ fn every_app_is_bit_identical_on_gpu_and_cpu_sims() {
                     c.to_bits(),
                     "output[{i}] diverged: {ctx} (gpu {g}, cpu {c})"
                 );
+            }
+        }
+    }
+}
+
+/// The lowering's SIMD-lane tile loops start each lane at its own offset,
+/// so warps run them with per-lane induction variables: scalar and warp
+/// execution must agree bit for bit on every lowered (and coarsened) app,
+/// launch by launch, on both CPU targets.
+#[test]
+fn lowered_apps_are_bit_identical_across_execution_modes() {
+    let shapes = [[1, 1], [2, 2]].map(|[b, t]| CoarsenConfig {
+        block: [b, 1, 1],
+        thread: [t, 1, 1],
+    });
+    for app in all_apps_sized(Workload::Small) {
+        let base = compiled_module(app.as_ref(), Pipeline::PolygeistNoOpt);
+        let name = app.main_kernel().to_string();
+        for cfg in shapes {
+            let mut module = base.clone();
+            let mut func = module.function(&name).expect("main kernel").clone();
+            if coarsen_function(&mut func, cfg).is_err() {
+                continue; // shape illegal for this kernel
+            }
+            module.add_function(func);
+            for cpu in targets::all_cpu_targets() {
+                let lanes = i64::from(cpu.exec_width());
+                let lowered = lower_module_to_cpu(&module, &CpuLoweringParams { lanes });
+                let run = |mode: ExecMode| {
+                    let mut sim = GpuSim::for_model(&cpu);
+                    sim.set_exec_mode(mode);
+                    let out = app.run(&mut sim, &lowered).expect("cpu run");
+                    (out, sim.launch_log)
+                };
+                let (scalar_out, scalar_log) = run(ExecMode::Scalar);
+                let (warp_out, warp_log) = run(ExecMode::WarpVectorized);
+                let ctx = format!("{} {cfg:?} on {}", app.name(), cpu.name());
+                assert_eq!(scalar_log.len(), warp_log.len(), "launch count: {ctx}");
+                for (s, w) in scalar_log.iter().zip(&warp_log) {
+                    assert_eq!(
+                        s.seconds.to_bits(),
+                        w.seconds.to_bits(),
+                        "{}: {ctx}",
+                        s.kernel
+                    );
+                    assert_eq!(s.stats, w.stats, "{}: {ctx}", s.kernel);
+                }
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&scalar_out), bits(&warp_out), "outputs: {ctx}");
             }
         }
     }

@@ -220,26 +220,27 @@ fn parse_memref_body(body: &str, offset: usize) -> Result<MemRefType, ParseError
             })
         }
     };
-    let mut parts: Vec<&str> = shape_elem.trim().split('x').collect();
-    let elem_str = parts.pop().ok_or_else(|| ParseError {
-        message: "memref type missing element type".into(),
-        offset,
-    })?;
-    let elem = parse_scalar_name(elem_str).ok_or_else(|| ParseError {
-        message: format!("unknown element type {elem_str}"),
-        offset,
-    })?;
+    // Peel `<dim>x` prefixes; what remains is the element type. Splitting
+    // the whole string on 'x' would cut the element name `index` in two.
+    let mut rest = shape_elem.trim();
     let mut shape = Vec::new();
-    for p in parts {
-        if p == "?" {
+    while let Some((dim, tail)) = rest.split_once('x') {
+        if dim == "?" {
             shape.push(DYNAMIC);
-        } else {
-            shape.push(p.parse().map_err(|e| ParseError {
-                message: format!("bad dimension {p}: {e}"),
+        } else if !dim.is_empty() && dim.bytes().all(|b| b.is_ascii_digit()) {
+            shape.push(dim.parse().map_err(|e| ParseError {
+                message: format!("bad dimension {dim}: {e}"),
                 offset,
             })?);
+        } else {
+            break;
         }
+        rest = tail;
     }
+    let elem = parse_scalar_name(rest).ok_or_else(|| ParseError {
+        message: format!("unknown element type {rest}"),
+        offset,
+    })?;
     Ok(MemRefType::new(elem, shape, space))
 }
 

@@ -20,7 +20,24 @@ enum Step {
     SelectLike(usize, usize, usize),
     ForLoop(u8, Vec<Step>),
     IfCond(usize, Vec<Step>, Vec<Step>),
+    /// An allocation: element type, address space, and per dimension a
+    /// byte choosing a static extent or (outside shared memory) `?`.
+    Alloc(u8, u8, Vec<u8>),
 }
+
+const ELEMS: [ScalarType; 6] = [
+    ScalarType::I1,
+    ScalarType::I32,
+    ScalarType::I64,
+    ScalarType::F32,
+    ScalarType::F64,
+    ScalarType::Index,
+];
+
+/// The shape marker of a `?` (dynamic) extent.
+const DYNAMIC: i64 = -1;
+
+const SPACES: [MemSpace; 3] = [MemSpace::Global, MemSpace::Shared, MemSpace::Local];
 
 fn step_strategy(depth: u32) -> impl Strategy<Value = Step> {
     let leaf = prop_oneof![
@@ -31,6 +48,12 @@ fn step_strategy(depth: u32) -> impl Strategy<Value = Step> {
         (any::<u8>(), any::<usize>(), any::<usize>()).prop_map(|(o, a, b)| Step::Cmp(o, a, b)),
         (any::<usize>(), any::<usize>(), any::<usize>())
             .prop_map(|(c, a, b)| Step::SelectLike(c, a, b)),
+        (
+            any::<u8>(),
+            any::<u8>(),
+            prop::collection::vec(any::<u8>(), 1..4)
+        )
+            .prop_map(|(e, s, d)| Step::Alloc(e, s, d)),
     ];
     leaf.prop_recursive(depth, 24, 4, |inner| {
         prop_oneof![
@@ -146,7 +169,26 @@ fn apply_steps(b: &mut FuncBuilder<'_>, pools: &mut Pools, steps: &[Step]) {
                 );
                 pools.f32s.push(results[0]);
             }
+            Step::Alloc(e, s, dims) => {
+                let elem = ELEMS[*e as usize % ELEMS.len()];
+                let space = SPACES[*s as usize % SPACES.len()];
+                alloc_with(b, elem, space, dims);
+            }
         }
+    }
+}
+
+/// Emits one allocation: fully dynamic (`?` extents fed by `index`
+/// constants) when the first dimension byte is divisible by 3 and the space
+/// is not shared — the verifier requires shared buffers to be statically
+/// shaped — otherwise fully static.
+fn alloc_with(b: &mut FuncBuilder<'_>, elem: ScalarType, space: MemSpace, dims: &[u8]) -> Value {
+    let extents: Vec<i64> = dims.iter().map(|&d| 1 + (d % 64) as i64).collect();
+    if dims[0].is_multiple_of(3) && space != MemSpace::Shared {
+        let operands: Vec<Value> = extents.iter().map(|&e| b.const_index(e)).collect();
+        b.alloc_dynamic(elem, &operands, space)
+    } else {
+        b.alloc_static(elem, &extents, space)
     }
 }
 
@@ -195,6 +237,50 @@ proptest! {
         verify_function(&reparsed).expect("reparsed function must verify");
         prop_assert_eq!(printed, reparsed.to_string());
     }
+}
+
+/// Every element type — `index` included, whose name contains the shape
+/// separator `x` — in every address space, with static, dynamic and mixed
+/// shapes, parses, verifies and re-prints byte-identically.
+#[test]
+fn every_memref_element_type_round_trips() {
+    let mut body = String::new();
+    let mut n = 0;
+    for elem in ELEMS {
+        for space in SPACES {
+            for shape in [
+                &[128i64][..],
+                &[DYNAMIC],
+                &[DYNAMIC, 4],
+                &[2, 3, 4],
+                &[5, DYNAMIC, 6],
+            ] {
+                if space == MemSpace::Shared && shape.contains(&DYNAMIC) {
+                    continue; // shared allocations must be statically shaped
+                }
+                let mut operands = Vec::new();
+                for _ in shape.iter().filter(|&&d| d == DYNAMIC) {
+                    body.push_str(&format!("  %d{n} = const 3 : index\n"));
+                    operands.push(format!("%d{n}"));
+                    n += 1;
+                }
+                let ty = respec_ir::MemRefType::new(elem, shape.to_vec(), space);
+                body.push_str(&format!(
+                    "  %m{n} = alloc({}) : {ty}\n",
+                    operands.join(", ")
+                ));
+                n += 1;
+            }
+        }
+    }
+    let src = format!("func @allocs() {{\n{body}  return\n}}");
+    assert!(src.contains("memref<128xindex, local>"), "{src}");
+    let func = parse_function(&src).unwrap_or_else(|e| panic!("{e}\n{src}"));
+    verify_function(&func).expect("allocations must verify");
+    let printed = func.to_string();
+    let reparsed = parse_function(&printed).expect("printed allocations must parse");
+    assert_eq!(printed, reparsed.to_string());
+    assert_eq!(printed.matches("alloc(").count(), ELEMS.len() * (3 * 5 - 3));
 }
 
 /// The same fixed-point property over the committed Rodinia corpus: every

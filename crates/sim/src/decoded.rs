@@ -138,10 +138,6 @@ pub(crate) enum DecodedOp {
 pub(crate) struct DecodedProgram {
     /// Decoded op per `OpId` index.
     pub(crate) steps: Vec<DecodedOp>,
-    /// Per region: whether the region or any transitively nested region
-    /// contains an `Alloc` (warps over such regions start in scalar mode —
-    /// allocation order must match per-lane execution).
-    pub(crate) region_has_alloc: Vec<bool>,
 }
 
 impl DecodedProgram {
@@ -149,46 +145,8 @@ impl DecodedProgram {
         let steps = (0..func.num_ops())
             .map(|i| decode_op(func, respec_ir::OpId::from_index(i)))
             .collect();
-        DecodedProgram {
-            steps,
-            region_has_alloc: region_alloc_flags(func),
-        }
+        DecodedProgram { steps }
     }
-}
-
-fn region_alloc_flags(func: &Function) -> Vec<bool> {
-    let n = func.num_regions();
-    // 0 = unvisited, 1 = visited/false (also breaks malformed cycles),
-    // 2 = visited/true.
-    let mut memo = vec![0u8; n];
-    for r in 0..n {
-        dfs_alloc(func, r, &mut memo);
-    }
-    memo.iter().map(|&m| m == 2).collect()
-}
-
-fn dfs_alloc(func: &Function, r: usize, memo: &mut [u8]) -> bool {
-    if memo[r] != 0 {
-        return memo[r] == 2;
-    }
-    memo[r] = 1;
-    let mut has = false;
-    let region = func.region(RegionId::from_index(r));
-    for &op_id in &region.ops {
-        let op = func.op(op_id);
-        if matches!(op.kind, OpKind::Alloc { .. }) {
-            has = true;
-        }
-        for &sub in &op.regions {
-            if sub.index() < memo.len() && dfs_alloc(func, sub.index(), memo) {
-                has = true;
-            }
-        }
-    }
-    if has {
-        memo[r] = 2;
-    }
-    has
 }
 
 fn decode_op(func: &Function, id: respec_ir::OpId) -> DecodedOp {

@@ -356,13 +356,19 @@ impl<'f> Interp<'f> {
     }
 
     /// Restarts the interpreter mid-execution at an arbitrary frame stack
-    /// (warp divergence despool). Local bindings are cleared; the caller
-    /// rebinds the lane's live values into [`Interp::store`].
-    pub(crate) fn adopt_frames(&mut self, frames: &[Frame]) {
+    /// whose top frame resumes at op index `pc` (warp despool), and returns
+    /// the adopted frames for the caller to adjust. Local bindings are
+    /// cleared; the caller rebinds the lane's live values into
+    /// [`Interp::store`].
+    pub(crate) fn adopt_frames(&mut self, frames: &[Frame], pc: usize) -> &mut [Frame] {
         self.frames.clear();
         self.frames.extend_from_slice(frames);
+        if let Some(top) = self.frames.last_mut() {
+            top.idx = pc;
+        }
         self.store.reset();
         self.done = false;
+        &mut self.frames
     }
 
     /// Returns `true` once the scope has finished.

@@ -92,8 +92,9 @@ impl Default for LaunchOptions {
 pub enum ExecMode {
     /// One scalar interpreter per thread (the reference mode).
     Scalar,
-    /// One lock-step machine per warp while control flow is uniform,
-    /// despooling each lane into a scalar interpreter on divergence (the
+    /// One lock-step machine per warp that splits divergent lanes into
+    /// groups and reconverges them, despooling each lane into a scalar
+    /// interpreter only for the rare cases the warp does not handle (the
     /// default).
     WarpVectorized,
 }
@@ -436,6 +437,7 @@ impl GpuSim {
                 warp_pool: Vec::new(),
                 merger: WarpMerger::new(func),
                 program: Arc::clone(&program),
+                despooled_warps: 0,
             },
             block_interp: Interp::with_program(func, program, func.body()),
         };
@@ -557,6 +559,15 @@ impl GpuSim {
             span.record("cycles:total", total_timing.total_cycles);
             span.record("bound_by", total_timing.bound_by());
             span.record("kernel_seconds", seconds);
+            // Execution-mode dependent, so kept out of `ExecStats`.
+            let warp_splits: u64 = scratch
+                .threads
+                .warp_pool
+                .iter()
+                .map(|w| w.split_count())
+                .sum();
+            span.record("warp_splits", warp_splits);
+            span.record("despooled_warps", scratch.threads.despooled_warps);
             if opts.sanitize_shared {
                 let n = sanitizer.as_ref().map_or(0, |s| s.races.len());
                 span.record("sanitizer_races", n as u64);
@@ -718,11 +729,10 @@ impl GpuSim {
         let warp_size = self.target.warp_size as usize;
         let warps = threads.div_ceil(warp_size);
 
-        // Regions that allocate must run per-lane from the start so buffer
-        // ids are handed out in scalar order; everything else starts in
-        // lock-step and despools only on observed divergence.
-        let vectorize = self.exec_mode == ExecMode::WarpVectorized
-            && !scratch.program.region_has_alloc[region.index()];
+        // Warps start in lock-step and despool only where they cannot
+        // follow. An `alloc` is one such place, and no lane allocates before
+        // its warp despools, so buffers are handed out in scalar order.
+        let vectorize = self.exec_mode == ExecMode::WarpVectorized;
 
         // Linear thread id -> (tx, ty, tz), x fastest (CUDA linearization).
         let ivs_of = |t: usize| {
@@ -768,7 +778,7 @@ impl GpuSim {
             }
         }
         // Warps that have despooled to per-lane scalar execution (vectorized
-        // runs only; divergence is permanent for the rest of the launch).
+        // runs only; a despool lasts for the rest of the block).
         let mut despooled = vec![!vectorize; warps];
 
         // Phase loop: run every thread to its next barrier (or completion),
@@ -803,11 +813,11 @@ impl GpuSim {
                         match phase {
                             WarpPhase::Done => {}
                             WarpPhase::Barrier => all_done = false,
-                            WarpPhase::Diverged => {
-                                // Despool every lane into a scalar machine —
-                                // the program counter sits *at* the divergent
-                                // op — and finish the phase per lane without
-                                // resetting the partial counters.
+                            WarpPhase::Despool => {
+                                // Despool every lane into a scalar machine at
+                                // its own program counter and finish the
+                                // phase per lane without resetting the
+                                // partial counters.
                                 while scratch.pool.len() < hi {
                                     scratch.pool.push(Interp::with_program(
                                         func,
@@ -820,6 +830,7 @@ impl GpuSim {
                                         .despool_into(lane, &mut scratch.pool[lo + lane]);
                                 }
                                 *despooled_w = true;
+                                scratch.despooled_warps += 1;
                                 for t in lo..hi {
                                     let ev = {
                                         let mut cx = StepCx {
@@ -952,6 +963,8 @@ struct ThreadScratch<'f> {
     warp_pool: Vec<WarpInterp<'f>>,
     /// Warp statistics merger (per-op instruction classes precomputed once).
     merger: WarpMerger,
+    /// Warps of this launch that fell back to per-lane scalar execution.
+    despooled_warps: u64,
 }
 
 /// Per-launch interpreter scratch: allocated once in
@@ -1442,8 +1455,8 @@ mod tests {
     #[test]
     fn scalar_and_vectorized_saxpy_agree_bitwise() {
         let func = compile_saxpy();
-        // Not a multiple of the block size: the straddling warp diverges at
-        // the bounds guard and must despool mid-phase.
+        // Not a multiple of the block size: the straddling warp splits at
+        // the bounds guard and reconverges after it.
         let n = 1000usize;
         let run = |mode: ExecMode| {
             let mut sim = GpuSim::new(a100());
@@ -1527,8 +1540,8 @@ mod tests {
 
     #[test]
     fn divergence_then_barrier_agrees_across_modes() {
-        // Diverge at an `if`, then synchronize: the despooled warp must keep
-        // running per-lane in later barrier intervals.
+        // Diverge at an `if`, reconverge, then synchronize: the warp crosses
+        // the barrier in lock-step and the next interval must agree too.
         let func = respec_ir::parse_function(
             "func @divbar(%gx: index, %gy: index, %gz: index, %m: memref<?xf32, global>) {
   %c8 = const 8 : index
@@ -1630,6 +1643,277 @@ mod tests {
         assert_eq!(scalar.1, warp.1);
         assert_eq!(scalar.2, warp.2);
         assert!(warp.2.iter().any(|r| r.code == "race-ww"));
+    }
+
+    /// A one-block kernel of 40 threads on `%m` (one full warp and one
+    /// partial warp on the A100 model). `block` runs at block scope before
+    /// the thread loop; `thread` is the thread body up to its final yield.
+    fn forty_thread_kernel(block: &str, thread: &str) -> String {
+        format!(
+            "func @k(%gx: index, %gy: index, %gz: index, %m: memref<?xf32, global>) {{
+  %c0 = const 0 : index
+  %c1 = const 1 : index
+  %c2 = const 2 : index
+  %c3 = const 3 : index
+  %c12 = const 12 : index
+  %c20 = const 20 : index
+  %c39 = const 39 : index
+  %c40 = const 40 : index
+  parallel<block> (%bx, %by, %bz) to (%gx, %gy, %gz) {{
+{block}
+    parallel<thread> (%tx, %ty, %tz) to (%c40, %c1, %c1) {{
+{thread}
+      yield
+    }}
+    yield
+  }}
+  return
+}}"
+        )
+    }
+
+    /// Launches `src` over a zero-filled 40-cell buffer in both execution
+    /// modes and asserts bit-identical kernel seconds, every `ExecStats`
+    /// field and memory. Returns the memory and the warp run's
+    /// `warp_splits` and `despooled_warps` span metrics.
+    fn assert_modes_agree(src: &str) -> (Vec<f32>, u64, u64) {
+        let func = respec_ir::parse_function(src).unwrap();
+        let run = |mode: ExecMode| {
+            let mut sim = GpuSim::new(a100());
+            sim.set_exec_mode(mode);
+            let trace = Trace::new();
+            sim.set_trace(trace.clone());
+            let mb = sim.mem.alloc_f32(&[0.0; 40]);
+            let report = sim
+                .launch(&func, [1, 1, 1], &[KernelArg::Buf(mb)], 32)
+                .unwrap();
+            let events = trace.events();
+            let metric = |k: &str| events[0].metric(k).and_then(|m| m.as_f64()).unwrap() as u64;
+            (
+                report.kernel_seconds.to_bits(),
+                report.stats,
+                sim.mem.read_f32(mb),
+                metric("warp_splits"),
+                metric("despooled_warps"),
+            )
+        };
+        let scalar = run(ExecMode::Scalar);
+        let warp = run(ExecMode::WarpVectorized);
+        assert_eq!(scalar.0, warp.0, "kernel_seconds must be bit-identical");
+        assert_eq!(scalar.1, warp.1, "stats must be identical");
+        assert_eq!(scalar.2, warp.2, "memory must be identical");
+        assert_eq!((scalar.3, scalar.4), (0, 0), "scalar mode has no warps");
+        (warp.2, warp.3, warp.4)
+    }
+
+    #[test]
+    fn nested_divergent_ifs_split_and_reconverge() {
+        let (m, splits, despooled) = assert_modes_agree(&forty_thread_kernel(
+            "",
+            "      %f = cast %tx : f32
+      %lt = cmp lt %tx, %c20
+      %r = if %lt {
+        %o = rem %tx, %c2 : index
+        %odd = cmp eq %o, %c1
+        %x = if %odd {
+          %a = add %f, %f : f32
+          yield %a
+        } else {
+          %b = mul %f, %f : f32
+          yield %b
+        }
+        yield %x
+      } else {
+        %o3 = rem %tx, %c3 : index
+        %z = cmp eq %o3, %c0
+        %y = if %z {
+          yield %f
+        } else {
+          %n = neg %f : f32
+          yield %n
+        }
+        yield %y
+      }
+      store %r, %m[%tx]",
+        ));
+        assert_eq!(
+            (m[3], m[4], m[21], m[22], m[33]),
+            (6.0, 16.0, 21.0, -22.0, 33.0)
+        );
+        // Warp 0: the outer `if` plus one inner split per arm; warp 1 (all
+        // lanes >= 20): only the inner `if` of the else arm.
+        assert_eq!((splits, despooled), (4, 0));
+    }
+
+    #[test]
+    fn divergent_for_inside_divergent_if_splits_per_trip_count() {
+        let (m, splits, despooled) = assert_modes_agree(&forty_thread_kernel(
+            "",
+            "      %lt = cmp lt %tx, %c20
+      %r = if %lt {
+        %zero = fconst 0.0 : f32
+        %s = for %i = %c0 to %tx step %c1 iter (%acc = %zero) {
+          %fi = cast %i : f32
+          %nx = add %acc, %fi : f32
+          yield %nx
+        }
+        yield %s
+      } else {
+        %one = fconst 1.0 : f32
+        yield %one
+      }
+      store %r, %m[%tx]",
+        ));
+        assert_eq!((m[0], m[5], m[19], m[20]), (0.0, 10.0, 171.0, 1.0));
+        assert_eq!((splits, despooled), (2, 0));
+    }
+
+    #[test]
+    fn equal_trip_counts_run_lock_step_from_per_lane_bounds() {
+        // Every lane runs 4 iterations of `i = tx, tx+3, tx+6, tx+9`, and
+        // inside
+        // them a `while` whose exit diverges, which despools the warp with
+        // each lane's own induction variable in its loop frame.
+        let (m, splits, despooled) = assert_modes_agree(&forty_thread_kernel(
+            "",
+            "      %end = add %tx, %c12 : index
+      %zero = fconst 0.0 : f32
+      %s = for %i = %tx to %end step %c3 iter (%acc = %zero) {
+        %x = while (%a = %c1) {
+          %c = cmp lt %a, %i
+          condition %c, %a
+        } do (%bv) {
+          %nx = mul %bv, %c2 : index
+          yield %nx
+        }
+        %fi = cast %i : f32
+        %fx = cast %x : f32
+        %t = add %fi, %fx : f32
+        %na = add %acc, %t : f32
+        yield %na
+      }
+      store %s, %m[%tx]",
+        ));
+        // Lane 5: i = 5, 8, 11, 14 and x = 8, 8, 16, 16.
+        assert_eq!((m[0], m[5], m[39]), (47.0, 86.0, 430.0));
+        assert_eq!((splits, despooled), (0, 2));
+    }
+
+    #[test]
+    fn reconvergence_then_barrier_stays_lock_step() {
+        let (m, splits, despooled) = assert_modes_agree(&forty_thread_kernel(
+            "    %sm = alloc() : memref<40xf32, shared>",
+            "      %f = cast %tx : f32
+      %lt = cmp lt %tx, %c20
+      %v = if %lt {
+        %d = add %f, %f : f32
+        yield %d
+      } else {
+        yield %f
+      }
+      store %v, %sm[%tx]
+      barrier<thread>
+      %n = sub %c39, %tx : index
+      %w = load %sm[%n] : f32
+      store %w, %m[%tx]",
+        ));
+        assert_eq!((m[0], m[30], m[39]), (39.0, 18.0, 0.0));
+        assert_eq!((splits, despooled), (1, 0));
+    }
+
+    #[test]
+    fn alloc_under_a_split_despools_finished_lanes_after_the_if() {
+        // Lanes < 20 form the first group and finish the `if` without
+        // allocating; the second group then reaches the `alloc`.
+        let (m, splits, despooled) = assert_modes_agree(&forty_thread_kernel(
+            "",
+            "      %f = cast %tx : f32
+      %ge = cmp ge %tx, %c20
+      %r = if %ge {
+        %loc = alloc() : memref<2xf32, local>
+        store %f, %loc[%c1]
+        %v = load %loc[%c1] : f32
+        %d = add %v, %v : f32
+        yield %d
+      } else {
+        yield %f
+      }
+      store %r, %m[%tx]",
+        ));
+        assert_eq!((m[5], m[25], m[39]), (5.0, 50.0, 78.0));
+        // Warp 1 allocates too, but uniformly: it despools without a split.
+        assert_eq!((splits, despooled), (1, 2));
+    }
+
+    #[test]
+    fn barrier_under_a_split_despools_pending_lanes_before_the_if() {
+        let (m, splits, despooled) = assert_modes_agree(&forty_thread_kernel(
+            "    %sm = alloc() : memref<40xf32, shared>",
+            "      %f = cast %tx : f32
+      store %f, %sm[%tx]
+      %lt = cmp lt %tx, %c20
+      if %lt {
+        barrier<thread>
+        yield
+      } else {
+        barrier<thread>
+        yield
+      }
+      %n = sub %c39, %tx : index
+      %w = load %sm[%n] : f32
+      store %w, %m[%tx]",
+        ));
+        assert_eq!((m[0], m[30], m[39]), (39.0, 9.0, 0.0));
+        assert_eq!((splits, despooled), (1, 1));
+    }
+
+    #[test]
+    fn return_under_a_split_despools() {
+        let (m, splits, despooled) = assert_modes_agree(&forty_thread_kernel(
+            "",
+            "      %f = cast %tx : f32
+      %lt = cmp lt %tx, %c20
+      if %lt {
+        store %f, %m[%tx]
+        return
+      } else {
+        yield
+      }
+      %n = neg %f : f32
+      store %n, %m[%tx]",
+        ));
+        assert_eq!((m[5], m[25], m[39]), (5.0, -25.0, -39.0));
+        assert_eq!((splits, despooled), (1, 1));
+    }
+
+    #[test]
+    fn while_exit_divergence_under_a_split_despools() {
+        // Lanes < 20 compute the smallest power of two >= tx; their `while`
+        // loops exit after different trip counts.
+        let (m, splits, despooled) = assert_modes_agree(&forty_thread_kernel(
+            "",
+            "      %lt = cmp lt %tx, %c20
+      %r = if %lt {
+        %x = while (%a = %c1) {
+          %c = cmp lt %a, %tx
+          condition %c, %a
+        } do (%bv) {
+          %nx = mul %bv, %c2 : index
+          yield %nx
+        }
+        %fx = cast %x : f32
+        yield %fx
+      } else {
+        %z = fconst -1.0 : f32
+        yield %z
+      }
+      store %r, %m[%tx]",
+        ));
+        assert_eq!(
+            (m[0], m[5], m[16], m[19], m[25]),
+            (1.0, 8.0, 16.0, 32.0, -1.0)
+        );
+        assert_eq!((splits, despooled), (1, 1));
     }
 
     #[test]

@@ -1,27 +1,41 @@
 //! Warp-vectorized interpreter: one machine steps a whole warp of lanes in
-//! lock-step through uniform operations.
+//! lock-step, masking off lanes whose control flow went another way.
 //!
 //! Instead of one [`Interp`] per thread re-walking the region tree, a
-//! [`WarpInterp`] keeps a *single* frame stack (control flow is uniform
-//! until proven otherwise) and a flat value-major register file
-//! `vals[value * stride + lane]`, so the per-op cost is one decoded-op
-//! dispatch plus a tight lane loop.
+//! [`WarpInterp`] keeps a *single* frame stack and a flat value-major
+//! register file `vals[value * stride + lane]`, so the per-op cost is one
+//! decoded-op dispatch plus a tight loop over the *active* lanes.
 //!
-//! Divergence is detected *before* any state is mutated: at a `for` header,
-//! an `if` condition, a `while` condition flag, and at `alloc` (allocation
-//! order must match per-lane execution), the per-lane inputs are peeked
-//! first. If they disagree across lanes the warp reports
-//! [`WarpPhase::Diverged`] with the program counter still pointing *at* the
-//! divergent op; the launcher then despools every lane into a scalar
-//! [`Interp`] (via [`WarpInterp::despool_into`]) which replays the op with
-//! identical semantics, counters and memory effects. Lock-step execution
-//! bumps every lane's [`ThreadCounters`] per op exactly as scalar stepping
-//! would, so stats — and therefore simulated timing — are bit-identical
-//! between the two modes for any kernel that completes.
+//! **Split and reconverge.** When the active lanes disagree on an `if`
+//! condition or on a `for` loop's trip count or step, the warp splits them
+//! into groups of equal key (groups ordered by their first lane) and runs
+//! the divergent op X once per group, with only that group active. Lanes
+//! that agree on a loop's trip count and step run it together even when
+//! their bounds differ: each lane counts its own induction variable. The IR
+//! is structured, so a group has finished exactly when the program counter
+//! is back at X+1 at X's frame depth: the next group then re-executes X, and
+//! after the last group the warp reconverges on the lanes it had before the
+//! split. Splits nest as a stack. Lane counters are bumped only for active
+//! lanes, so every lane's [`ThreadCounters`] — and with them the merged
+//! statistics and the simulated timing — are the ones scalar stepping
+//! produces.
+//!
+//! **Despool.** What stays rare falls back to per-lane scalar execution: an
+//! `alloc` (allocation order must match per-lane execution), a `while`
+//! condition the active lanes disagree on, and a `barrier` or `return`
+//! reached under a split. The warp reports [`WarpPhase::Despool`] with the
+//! program counter still *at* that op, before any state is mutated, and the
+//! launcher copies every lane into a scalar [`Interp`]
+//! ([`WarpInterp::despool_into`]) that replays the op with identical
+//! semantics, counters and memory effects. Inside a split each lane gets
+//! its own frame stack: lanes of the running group stand at the current op,
+//! lanes of pending groups at the divergent op, and lanes of finished
+//! groups just after it; each loop frame carries the lane's own induction
+//! variable and upper bound.
 
 use std::sync::Arc;
 
-use respec_ir::{Function, RegionId, Value};
+use respec_ir::{Function, OpId, RegionId, Value};
 
 use crate::decoded::{slot_value, DecodedOp, DecodedProgram, Slot};
 use crate::interp::{
@@ -48,17 +62,63 @@ pub(crate) enum WarpPhase {
     Done,
     /// Every lane reached the same barrier and suspended.
     Barrier,
-    /// Lanes disagree on control flow (or reached an `alloc`); the program
-    /// counter points at the divergent op. Despool each lane into a scalar
-    /// interpreter and continue per-lane.
-    Diverged,
+    /// The warp reached an op it does not run as a warp (see the module
+    /// docs); the program counter points at it. Despool each lane into a
+    /// scalar interpreter and continue per-lane.
+    Despool,
 }
 
 enum WarpStep {
     Ran,
     Done,
     Barrier,
-    Diverged,
+    Despool,
+}
+
+/// One divergent `if` or `for` whose lane groups run one after another.
+#[derive(Default)]
+struct Split {
+    /// Frame-stack depth whose top frame holds the divergent op.
+    depth: usize,
+    /// Index of the divergent op in that frame's region.
+    pc: usize,
+    /// The lanes active before the split, grouped: group `g` is
+    /// `lanes[ends[g - 1]..ends[g]]`, each group ascending.
+    lanes: Vec<u16>,
+    ends: Vec<u16>,
+    /// Index of the running group.
+    group: usize,
+}
+
+impl Split {
+    fn group_lanes(&self, g: usize) -> &[u16] {
+        let start = if g == 0 { 0 } else { self.ends[g - 1] as usize };
+        &self.lanes[start..self.ends[g] as usize]
+    }
+}
+
+/// Computes a divergent op's split key for one lane from the lane's
+/// integer operands; lanes with equal keys run the op together.
+type SplitKey = fn([i64; 3]) -> Result<(i64, i64), SimError>;
+
+/// The split key of an `if`: the truth value of its condition.
+fn if_key([cond, _, _]: [i64; 3]) -> Result<(i64, i64), SimError> {
+    Ok(((cond != 0) as i64, 0))
+}
+
+/// The split key of a `for`: its trip count and step. Lanes that agree on
+/// both run the same iterations in lock-step, each counting its induction
+/// variable from its own lower bound.
+fn for_key([lb, ub, step]: [i64; 3]) -> Result<(i64, i64), SimError> {
+    if step <= 0 {
+        return Err(SimError::new("for loop step must be positive"));
+    }
+    let trips = if lb < ub {
+        (i128::from(ub) - i128::from(lb) + i128::from(step) - 1) / i128::from(step)
+    } else {
+        0
+    };
+    Ok((i64::try_from(trips).unwrap_or(i64::MAX), step))
 }
 
 /// A warp of lanes executing one region tree in lock-step.
@@ -71,12 +131,23 @@ pub(crate) struct WarpInterp<'f> {
     frames: Vec<Frame>,
     /// Value-major register file: `vals[value * stride + lane]`.
     vals: Vec<RtVal>,
-    /// Shared binding epochs (control is uniform, so all lanes of a value
-    /// bind together): `epochs[value] == cur` means bound.
+    /// Shared binding epochs: `epochs[value] == cur` means bound. A value
+    /// defined under a split is bound for the lanes of the groups that ran
+    /// its definition; SSA dominance keeps the other lanes from reading it.
     epochs: Vec<u32>,
     cur: u32,
     done: bool,
-    /// Gather buffer, operand-major: `scratch[k * lanes + lane]`.
+    /// Lanes that execute the current op, ascending.
+    active: Vec<u16>,
+    /// Split stack, innermost last: `splits[..nsplits]` is live, the rest
+    /// is kept for its buffers.
+    splits: Vec<Split>,
+    nsplits: usize,
+    /// Splits made since construction (an observability counter).
+    split_count: u64,
+    /// Per active lane, the control-flow key of the divergent op.
+    keys: Vec<(i64, i64)>,
+    /// Gather buffer, operand-major: `scratch[k * active.len() + i]`.
     scratch: Vec<RtVal>,
 }
 
@@ -97,6 +168,11 @@ impl<'f> WarpInterp<'f> {
             epochs: vec![0; func.num_values()],
             cur: 0,
             done: false,
+            active: Vec::with_capacity(stride),
+            splits: Vec::new(),
+            nsplits: 0,
+            split_count: 0,
+            keys: Vec::new(),
             scratch: Vec::new(),
         }
     }
@@ -104,8 +180,11 @@ impl<'f> WarpInterp<'f> {
     /// Rewinds the warp to the start of `region` with `lanes` active lanes,
     /// clearing all bindings without reallocating.
     pub(crate) fn restart(&mut self, region: RegionId, lanes: usize) {
-        debug_assert!(lanes >= 1 && lanes <= self.stride);
+        debug_assert!(lanes >= 1 && lanes <= self.stride && lanes <= u16::MAX as usize);
         self.lanes = lanes;
+        self.active.clear();
+        self.active.extend(0..lanes as u16);
+        self.nsplits = 0;
         self.frames.clear();
         self.frames.push(Frame {
             region,
@@ -124,6 +203,11 @@ impl<'f> WarpInterp<'f> {
         self.done
     }
 
+    /// Divergent ops this machine has split its lanes at since it was built.
+    pub(crate) fn split_count(&self) -> u64 {
+        self.split_count
+    }
+
     /// Binds `v` per lane (e.g. thread ids) before stepping.
     pub(crate) fn set_with(&mut self, v: Value, mut f: impl FnMut(usize) -> RtVal) {
         let base = v.index() * self.stride;
@@ -133,11 +217,45 @@ impl<'f> WarpInterp<'f> {
         self.epochs[v.index()] = self.cur;
     }
 
-    /// Copies one lane's live state into a scalar interpreter. The scalar
-    /// machine resumes with the same frame stack — its program counter at
-    /// the op the warp stopped on — and every epoch-current value bound.
+    /// Copies one lane's live state into a scalar interpreter: the lane's
+    /// own frame stack and every epoch-current value. Outside splits that
+    /// stack is the warp's, with the program counter at the op the warp
+    /// stopped on. A lane outside the running group of a split resumes at
+    /// the split's divergent op if its group is pending, or just after it
+    /// if its group has finished; the outermost such split decides.
     pub(crate) fn despool_into(&self, lane: usize, target: &mut Interp<'f>) {
-        target.adopt_frames(&self.frames);
+        let mut frames = &self.frames[..];
+        let mut pc = frames.last().map_or(0, |f| f.idx);
+        for s in &self.splits[..self.nsplits] {
+            let Some(pos) = s.lanes.iter().position(|&l| l as usize == lane) else {
+                break;
+            };
+            let group = s.ends.iter().position(|&e| pos < e as usize).unwrap_or(0);
+            if group != s.group {
+                frames = &self.frames[..s.depth];
+                pc = if group < s.group { s.pc + 1 } else { s.pc };
+                break;
+            }
+        }
+        // The warp's loop frames hold the lead lane's bounds; give the lane
+        // its own induction variable and upper bound.
+        for frame in target.adopt_frames(frames, pc) {
+            let FrameKind::For { op, iv, ub, .. } = &mut frame.kind else {
+                continue;
+            };
+            let DecodedOp::For {
+                ub: ub_slot, body, ..
+            } = &self.program.steps[op.index()]
+            else {
+                continue;
+            };
+            let lane_int = |v: usize| match self.vals[v * self.stride + lane] {
+                RtVal::Int(i) if self.epochs[v] == self.cur => Some(i),
+                _ => None,
+            };
+            *iv = lane_int(self.func.region(*body).args[0].index()).unwrap_or(*iv);
+            *ub = lane_int(*ub_slot as usize).unwrap_or(*ub);
+        }
         for (v, &e) in self.epochs.iter().enumerate() {
             if e == self.cur {
                 target
@@ -169,20 +287,28 @@ impl<'f> WarpInterp<'f> {
         self.epochs[slot as usize] = self.cur;
     }
 
+    #[inline]
+    fn bump_active(&self, counters: &mut [ThreadCounters], op: OpId) {
+        for &lane in &self.active {
+            counters[lane as usize].bump(op);
+        }
+    }
+
     fn set_uniform(&mut self, v: Value, val: RtVal) {
         let base = v.index() * self.stride;
-        for lane in 0..self.lanes {
-            self.vals[base + lane] = val;
+        for &lane in &self.active {
+            self.vals[base + lane as usize] = val;
         }
         self.epochs[v.index()] = self.cur;
     }
 
-    /// Gathers `slots` per lane into the scratch buffer, operand-major.
+    /// Gathers `slots` per active lane into the scratch buffer,
+    /// operand-major.
     fn gather(&mut self, parents: &[&Store], slots: &[Slot]) -> Result<usize, SimError> {
         self.scratch.clear();
         for &s in slots {
-            for lane in 0..self.lanes {
-                let v = self.get(parents, s, lane)?;
+            for i in 0..self.active.len() {
+                let v = self.get(parents, s, self.active[i] as usize)?;
                 self.scratch.push(v);
             }
         }
@@ -193,22 +319,23 @@ impl<'f> WarpInterp<'f> {
     /// list exactly like the scalar interpreter's `zip`.
     fn scatter(&mut self, targets: &[Value], count: usize) {
         let n = targets.len().min(count);
+        let width = self.active.len();
         for (k, &t) in targets.iter().take(n).enumerate() {
             let base = t.index() * self.stride;
-            for lane in 0..self.lanes {
-                self.vals[base + lane] = self.scratch[k * self.lanes + lane];
+            for (i, &lane) in self.active.iter().enumerate() {
+                self.vals[base + lane as usize] = self.scratch[k * width + i];
             }
             self.epochs[t.index()] = self.cur;
         }
     }
 
-    /// Peeks an integer condition in every lane; `Ok(None)` means the lanes
+    /// Peeks an integer in every active lane; `Ok(None)` means the lanes
     /// disagree (or a non-lead lane holds a non-integer — the scalar replay
     /// surfaces that lane's own error). Reads only; no counters move.
     fn peek_uniform_int(&self, parents: &[&Store], slot: Slot) -> Result<Option<i64>, SimError> {
-        let v0 = want_int(self.get(parents, slot, 0)?)?;
-        for lane in 1..self.lanes {
-            match self.get(parents, slot, lane)?.try_int() {
+        let v0 = want_int(self.get(parents, slot, self.active[0] as usize)?)?;
+        for &lane in &self.active[1..] {
+            match self.get(parents, slot, lane as usize)?.try_int() {
                 Some(v) if v == v0 => {}
                 _ => return Ok(None),
             }
@@ -216,7 +343,80 @@ impl<'f> WarpInterp<'f> {
         Ok(Some(v0))
     }
 
-    /// Runs until a barrier, divergence, or completion.
+    /// Fills `keys` with one control-flow key per active lane, computed by
+    /// `key` from the lane's integer values of `slots` (unused entries are
+    /// 0). Returns whether every active lane has the same key.
+    fn fill_keys(
+        &mut self,
+        parents: &[&Store],
+        slots: &[Slot],
+        key: SplitKey,
+    ) -> Result<bool, SimError> {
+        self.keys.clear();
+        for i in 0..self.active.len() {
+            let lane = self.active[i] as usize;
+            let mut vals = [0i64; 3];
+            for (v, &s) in vals.iter_mut().zip(slots) {
+                *v = want_int(self.get(parents, s, lane)?)?;
+            }
+            self.keys.push(key(vals)?);
+        }
+        Ok(self.keys.iter().all(|k| *k == self.keys[0]))
+    }
+
+    /// Splits the active lanes at the op under the program counter into
+    /// groups of equal key (see [`WarpInterp::fill_keys`]), ordered by
+    /// their first lane, and activates the first group.
+    fn push_split(&mut self) {
+        if self.splits.len() == self.nsplits {
+            self.splits.push(Split::default());
+        }
+        let s = &mut self.splits[self.nsplits];
+        self.nsplits += 1;
+        self.split_count += 1;
+        s.depth = self.frames.len();
+        s.pc = self.frames.last().expect("frame stack non-empty").idx;
+        s.group = 0;
+        s.lanes.clear();
+        s.ends.clear();
+        for (i, key) in self.keys.iter().enumerate() {
+            if self.keys[..i].contains(key) {
+                continue;
+            }
+            for (j, other) in self.keys.iter().enumerate().skip(i) {
+                if other == key {
+                    s.lanes.push(self.active[j]);
+                }
+            }
+            s.ends.push(s.lanes.len() as u16);
+        }
+        self.active.clear();
+        self.active.extend_from_slice(s.group_lanes(0));
+    }
+
+    /// Runs after every step under a split: once the running group is back
+    /// just after the divergent op, activates the next group (which
+    /// re-executes the op) or, after the last group, reconverges.
+    fn reconverge(&mut self) {
+        while self.nsplits > 0 {
+            let s = &mut self.splits[self.nsplits - 1];
+            if self.frames.len() != s.depth || self.frames[s.depth - 1].idx != s.pc + 1 {
+                return;
+            }
+            s.group += 1;
+            self.active.clear();
+            if s.group < s.ends.len() {
+                self.active.extend_from_slice(s.group_lanes(s.group));
+                self.frames[s.depth - 1].idx = s.pc;
+                return;
+            }
+            self.active.extend_from_slice(&s.lanes);
+            self.active.sort_unstable();
+            self.nsplits -= 1;
+        }
+    }
+
+    /// Runs until a barrier, a despool, or completion.
     pub(crate) fn run_phase(&mut self, cx: &mut WarpCx<'_>) -> Result<WarpPhase, SimError> {
         if self.done {
             return Ok(WarpPhase::Done);
@@ -224,10 +424,14 @@ impl<'f> WarpInterp<'f> {
         let program = Arc::clone(&self.program);
         loop {
             match self.step_in(&program, cx)? {
-                WarpStep::Ran => {}
+                WarpStep::Ran => {
+                    if self.nsplits > 0 {
+                        self.reconverge();
+                    }
+                }
                 WarpStep::Done => return Ok(WarpPhase::Done),
                 WarpStep::Barrier => return Ok(WarpPhase::Barrier),
-                WarpStep::Diverged => return Ok(WarpPhase::Diverged),
+                WarpStep::Despool => return Ok(WarpPhase::Despool),
             }
         }
     }
@@ -261,14 +465,17 @@ impl<'f> WarpInterp<'f> {
                         step,
                     } => {
                         // Loop back-edge: one branch issue per lane.
-                        for c in cx.counters.iter_mut() {
-                            c.bump(op_id);
-                        }
+                        self.bump_active(cx.counters, op_id);
                         let next = iv + step;
                         let body = func.op(for_op).regions[0];
                         if next < ub {
                             let arg0 = func.region(body).args[0];
-                            self.set_uniform(arg0, RtVal::Int(next));
+                            let base = arg0.index() * self.stride;
+                            for &lane in &self.active {
+                                if let RtVal::Int(v) = &mut self.vals[base + lane as usize] {
+                                    *v += step;
+                                }
+                            }
                             self.scatter(&func.region(body).args[1..], n);
                             self.frames.push(Frame {
                                 region: body,
@@ -306,9 +513,9 @@ impl<'f> WarpInterp<'f> {
                 return Ok(WarpStep::Ran);
             }
             DecodedOp::Condition { flag, vals } => {
-                // Divergence checkpoint: peek the flag before mutating.
+                // Despool checkpoint: peek the flag before mutating.
                 let Some(f0) = self.peek_uniform_int(cx.parents, *flag)? else {
-                    return Ok(WarpStep::Diverged);
+                    return Ok(WarpStep::Despool);
                 };
                 let taken = f0 != 0;
                 let n = self.gather(cx.parents, vals)?;
@@ -317,9 +524,7 @@ impl<'f> WarpInterp<'f> {
                     FrameKind::WhileCond { op } => op,
                     _ => return Err(SimError::new("`condition` outside while condition region")),
                 };
-                for c in cx.counters.iter_mut() {
-                    c.bump(op_id);
-                }
+                self.bump_active(cx.counters, op_id);
                 if taken {
                     let body = *func
                         .op(while_op)
@@ -337,51 +542,28 @@ impl<'f> WarpInterp<'f> {
                 }
                 return Ok(WarpStep::Ran);
             }
+            // Lanes of other groups would keep running: despool so each
+            // lane returns (or waits at the barrier) on its own.
+            DecodedOp::Return | DecodedOp::Barrier if self.nsplits > 0 => {
+                return Ok(WarpStep::Despool);
+            }
             DecodedOp::Return => {
                 self.done = true;
                 return Ok(WarpStep::Done);
             }
-            // Divergence checkpoints that must fire *before* the program
-            // counter advances, so the scalar replay re-executes the op.
+            // Allocation order must match scalar lane-major execution;
+            // nothing has been allocated lock-step up to here, so the
+            // despooled lanes reproduce it exactly.
+            DecodedOp::Alloc { .. } => return Ok(WarpStep::Despool),
+            // Divergence: split before the program counter advances, so
+            // every group executes the op from the same point.
             DecodedOp::For { lb, ub, step, .. }
-                if self.peek_uniform_int(cx.parents, *lb)?.is_none()
-                    || self.peek_uniform_int(cx.parents, *ub)?.is_none()
-                    || self.peek_uniform_int(cx.parents, *step)?.is_none() =>
+                if !self.fill_keys(cx.parents, &[*lb, *ub, *step], for_key)? =>
             {
-                return Ok(WarpStep::Diverged);
+                self.push_split();
             }
-            DecodedOp::If { cond, .. } => {
-                let uniform = {
-                    // The scalar interpreter bumps `if` before reading the
-                    // condition; peek with try_int so a bad lead-lane value
-                    // despools and errors with the bump in place.
-                    let v0 = self.get(cx.parents, *cond, 0)?.try_int();
-                    match v0 {
-                        None => false,
-                        Some(v0) => {
-                            let mut same = true;
-                            for lane in 1..self.lanes {
-                                match self.get(cx.parents, *cond, lane)?.try_int() {
-                                    Some(v) if (v != 0) == (v0 != 0) => {}
-                                    _ => {
-                                        same = false;
-                                        break;
-                                    }
-                                }
-                            }
-                            same
-                        }
-                    }
-                };
-                if !uniform {
-                    return Ok(WarpStep::Diverged);
-                }
-            }
-            DecodedOp::Alloc { .. } => {
-                // Allocation order must match scalar lane-major execution;
-                // nothing has been allocated lock-step up to here, so the
-                // despooled lanes reproduce it exactly.
-                return Ok(WarpStep::Diverged);
+            DecodedOp::If { cond, .. } if !self.fill_keys(cx.parents, &[*cond], if_key)? => {
+                self.push_split();
             }
             _ => {}
         }
@@ -392,9 +574,7 @@ impl<'f> WarpInterp<'f> {
 
         match decoded {
             DecodedOp::Barrier => {
-                for c in cx.counters.iter_mut() {
-                    c.bump(op_id);
-                }
+                self.bump_active(cx.counters, op_id);
                 Ok(WarpStep::Barrier)
             }
             DecodedOp::Parallel => Err(SimError::new(
@@ -407,25 +587,30 @@ impl<'f> WarpInterp<'f> {
                 iters,
                 body,
             } => {
-                // Uniformity was established above; lane 0 speaks for all.
-                let lb = want_int(self.get(cx.parents, *lb, 0)?)?;
-                let ub = want_int(self.get(cx.parents, *ub, 0)?)?;
-                let step = want_int(self.get(cx.parents, *step, 0)?)?;
-                if step <= 0 {
-                    return Err(SimError::new("for loop step must be positive"));
-                }
+                // The active lanes agree on the trip count and step (the
+                // split key), so the lead's bounds drive the loop for all;
+                // each lane's induction variable starts at its own bound.
+                let lead = self.active[0] as usize;
+                let lb0 = want_int(self.get(cx.parents, *lb, lead)?)?;
+                let ub0 = want_int(self.get(cx.parents, *ub, lead)?)?;
+                let step = want_int(self.get(cx.parents, *step, lead)?)?;
                 let n = self.gather(cx.parents, iters)?;
-                if lb < ub {
+                if lb0 < ub0 {
                     let arg0 = func.region(*body).args[0];
-                    self.set_uniform(arg0, RtVal::Int(lb));
+                    let base = arg0.index() * self.stride;
+                    for i in 0..self.active.len() {
+                        let lane = self.active[i] as usize;
+                        self.vals[base + lane] = self.get(cx.parents, *lb, lane)?;
+                    }
+                    self.epochs[arg0.index()] = self.cur;
                     self.scatter(&func.region(*body).args[1..], n);
                     self.frames.push(Frame {
                         region: *body,
                         idx: 0,
                         kind: FrameKind::For {
                             op: op_id,
-                            iv: lb,
-                            ub,
+                            iv: lb0,
+                            ub: ub0,
                             step,
                         },
                     });
@@ -449,10 +634,9 @@ impl<'f> WarpInterp<'f> {
                 then_r,
                 else_r,
             } => {
-                for c in cx.counters.iter_mut() {
-                    c.bump(op_id);
-                }
-                let taken = want_int(self.get(cx.parents, *cond, 0)?)? != 0;
+                self.bump_active(cx.counters, op_id);
+                let lead = self.active[0] as usize;
+                let taken = want_int(self.get(cx.parents, *cond, lead)?)? != 0;
                 let region = if taken { *then_r } else { *else_r }
                     .ok_or_else(|| SimError::new("`if` without both arm regions"))?;
                 self.frames.push(Frame {
@@ -485,11 +669,10 @@ impl<'f> WarpInterp<'f> {
                 Ok(WarpStep::Ran)
             }
             DecodedOp::Binary { out, l, r, op, ty } => {
-                for c in cx.counters.iter_mut() {
-                    c.bump(op_id);
-                }
+                self.bump_active(cx.counters, op_id);
                 let base = *out as usize * self.stride;
-                for lane in 0..self.lanes {
+                for i in 0..self.active.len() {
+                    let lane = self.active[i] as usize;
                     let lv = self.get(cx.parents, *l, lane)?;
                     let rv = self.get(cx.parents, *r, lane)?;
                     self.vals[base + lane] = eval_binary(*op, *ty, lv, rv)?;
@@ -498,11 +681,10 @@ impl<'f> WarpInterp<'f> {
                 Ok(WarpStep::Ran)
             }
             DecodedOp::Unary { out, v, op, ty } => {
-                for c in cx.counters.iter_mut() {
-                    c.bump(op_id);
-                }
+                self.bump_active(cx.counters, op_id);
                 let base = *out as usize * self.stride;
-                for lane in 0..self.lanes {
+                for i in 0..self.active.len() {
+                    let lane = self.active[i] as usize;
                     let vv = self.get(cx.parents, *v, lane)?;
                     self.vals[base + lane] = eval_unary(*op, *ty, vv)?;
                 }
@@ -516,11 +698,10 @@ impl<'f> WarpInterp<'f> {
                 pred,
                 float,
             } => {
-                for c in cx.counters.iter_mut() {
-                    c.bump(op_id);
-                }
+                self.bump_active(cx.counters, op_id);
                 let base = *out as usize * self.stride;
-                for lane in 0..self.lanes {
+                for i in 0..self.active.len() {
+                    let lane = self.active[i] as usize;
                     let lv = self.get(cx.parents, *l, lane)?;
                     let rv = self.get(cx.parents, *r, lane)?;
                     let flag = eval_cmp(*pred, *float, lv, rv)?;
@@ -530,11 +711,10 @@ impl<'f> WarpInterp<'f> {
                 Ok(WarpStep::Ran)
             }
             DecodedOp::Select { out, c, t, f } => {
-                for cnt in cx.counters.iter_mut() {
-                    cnt.bump(op_id);
-                }
+                self.bump_active(cx.counters, op_id);
                 let base = *out as usize * self.stride;
-                for lane in 0..self.lanes {
+                for i in 0..self.active.len() {
+                    let lane = self.active[i] as usize;
                     let flag = want_int(self.get(cx.parents, *c, lane)?)? != 0;
                     let v = self.get(cx.parents, if flag { *t } else { *f }, lane)?;
                     self.vals[base + lane] = v;
@@ -544,7 +724,8 @@ impl<'f> WarpInterp<'f> {
             }
             DecodedOp::Cast { out, v, from, to } => {
                 let base = *out as usize * self.stride;
-                for lane in 0..self.lanes {
+                for i in 0..self.active.len() {
+                    let lane = self.active[i] as usize;
                     let vv = self.get(cx.parents, *v, lane)?;
                     self.vals[base + lane] = crate::interp::cast_value(vv, *from, *to)?;
                 }
@@ -553,7 +734,8 @@ impl<'f> WarpInterp<'f> {
             }
             DecodedOp::Load { out, mem, idx } => {
                 let base = *out as usize * self.stride;
-                for lane in 0..self.lanes {
+                for a in 0..self.active.len() {
+                    let lane = self.active[a] as usize;
                     let mem = want_mem(self.get(cx.parents, *mem, lane)?)?;
                     let mut index = [0i64; 3];
                     for (d, &s) in idx.iter().enumerate() {
@@ -590,7 +772,8 @@ impl<'f> WarpInterp<'f> {
                 Ok(WarpStep::Ran)
             }
             DecodedOp::Store { val, mem, idx } => {
-                for lane in 0..self.lanes {
+                for a in 0..self.active.len() {
+                    let lane = self.active[a] as usize;
                     let v = self.get(cx.parents, *val, lane)?;
                     let mem = want_mem(self.get(cx.parents, *mem, lane)?)?;
                     let mut index = [0i64; 3];
@@ -627,7 +810,8 @@ impl<'f> WarpInterp<'f> {
             }
             DecodedOp::Dim { out, mem, index } => {
                 let base = *out as usize * self.stride;
-                for lane in 0..self.lanes {
+                for i in 0..self.active.len() {
+                    let lane = self.active[i] as usize;
                     let mem = want_mem(self.get(cx.parents, *mem, lane)?)?;
                     self.vals[base + lane] = RtVal::Int(mem.dim(*index));
                 }
@@ -636,9 +820,7 @@ impl<'f> WarpInterp<'f> {
             }
             DecodedOp::Invalid { bump, msg } => {
                 if *bump {
-                    for c in cx.counters.iter_mut() {
-                        c.bump(op_id);
-                    }
+                    self.bump_active(cx.counters, op_id);
                 }
                 Err(SimError::new(msg.clone()))
             }

@@ -12,7 +12,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use respec_ir::{parse_function, structural_hash, Function};
+use respec_ir::{parse_function, parse_module, structural_hash, Function};
 use respec_opt::PIPELINE_VERSION;
 use respec_sim::{targets, FaultPlan, FaultSpec, SimError, TargetDesc};
 use respec_trace::Trace;
@@ -67,6 +67,33 @@ fn search(
     let result = tune_kernel_pooled(&func, target, &configs, options, runner, trace)
         .expect("the search succeeds");
     (result, configs)
+}
+
+/// `lud_internal` from the committed golden corpus (frontend output after
+/// the canonical pipeline) tuned for `cpu-desktop8`. The CPU lowering
+/// spills scalars that cross a barrier into `memref<Nxindex, local>`
+/// buffers, so its winners exercise the printed-IR replay of every
+/// element type.
+fn search_lud_cpu(options: &TuneOptions, trace: &Trace) -> TuneResult {
+    let golden = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("workspace root")
+        .join("tests/goldens/lud.ir");
+    let src = std::fs::read_to_string(golden).expect("read the lud golden");
+    let module = parse_module(&src).expect("the lud golden parses");
+    let func = module.function("lud_internal").expect("lud_internal");
+    let launches = respec_ir::kernel::analyze_function(func).expect("kernel shape");
+    let configs = candidate_configs(Strategy::Combined, &[1, 2], &launches[0].block_dims);
+    tune_kernel_pooled(
+        func,
+        &targets::cpu_desktop8(),
+        &configs,
+        options,
+        runner,
+        trace,
+    )
+    .expect("the search succeeds")
 }
 
 /// Backend-compile spans recorded in a trace.
@@ -128,6 +155,33 @@ fn warm_retune_is_a_pure_replay_at_parallelism_1_and_4() {
 
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+#[test]
+fn cpu_winners_that_spill_index_values_replay_from_the_cache() {
+    let dir = fresh_dir("lud-cpu");
+    let options = || {
+        let cache = Arc::new(TuningCache::open(&dir).expect("open cache"));
+        TuneOptions::serial().cache(cache)
+    };
+    let cold_trace = Trace::new();
+    let cold = search_lud_cpu(&options(), &cold_trace);
+    assert!(backend_compiles(&cold_trace) > 0, "cold run compiles");
+    assert!(
+        cold.best.to_string().contains("xindex, local>"),
+        "the winner must carry spilled index values:\n{}",
+        cold.best
+    );
+
+    let warm_trace = Trace::new();
+    let warm = search_lud_cpu(&options(), &warm_trace);
+    assert_eq!(backend_compiles(&warm_trace), 0, "{:?}", warm.stats);
+    assert_eq!(warm.stats.runner_calls, 0, "replay never measures");
+    assert_eq!(warm.stats.invalidations, 0, "{:?}", warm.stats);
+    assert_eq!(warm.stats.persistent_hits, 1, "exactly the winner entry");
+    assert_bit_identical(&cold, &warm);
+
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -257,28 +311,40 @@ fn ci_workspace_phases() {
     let phase = std::env::var("RESPEC_CACHE_PHASE").unwrap_or_else(|_| "cold".into());
     let options = TuneOptions::from_env().expect("CI environment is valid");
     assert!(options.cache.is_some(), "RESPEC_CACHE_DIR must attach");
+    // A GPU kernel on a100 next to lud on cpu-desktop8, whose winners spill
+    // `index` values: the warm phase fails on any winner that cannot be
+    // replayed, GPU or CPU.
     let trace = Trace::new();
-    let (result, _) = search(&targets::a100(), &options, &trace);
+    let (gpu, _) = search(&targets::a100(), &options, &trace);
+    let cpu = search_lud_cpu(&options, &trace);
+    let results = [("a100", gpu), ("cpu-desktop8", cpu)];
     match phase.as_str() {
         "warm" => {
             assert_eq!(
                 backend_compiles(&trace),
                 0,
                 "warm phase performed a backend compile: {:?}",
-                result.stats
+                results.each_ref().map(|(t, r)| (t, &r.stats))
             );
-            assert_eq!(result.stats.runner_calls, 0);
-            assert!(result.stats.persistent_hits >= 1);
+            for (target, result) in &results {
+                assert_eq!(result.stats.runner_calls, 0, "{target}");
+                assert!(result.stats.persistent_hits >= 1, "{target}");
+            }
         }
         "corrupt" => {
             assert!(
-                result.stats.invalidations > 0,
+                results.iter().any(|(_, r)| r.stats.invalidations > 0),
                 "the damaged entry must surface as an invalidation: {:?}",
-                result.stats
+                results.each_ref().map(|(t, r)| (t, &r.stats))
             );
         }
         _ => {
-            assert!(result.stats.persistent_misses > 0, "cold phase populates");
+            for (target, result) in &results {
+                assert!(
+                    result.stats.persistent_misses > 0,
+                    "cold phase populates {target}"
+                );
+            }
         }
     }
 }
